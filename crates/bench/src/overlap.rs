@@ -11,7 +11,7 @@
 
 use sn_models as models;
 use sn_runtime::session::Session;
-use sn_runtime::{predict_peak_bytes, Policy};
+use sn_runtime::{plan_prediction, Policy};
 use sn_sim::{DeviceSpec, SimTime};
 
 use crate::table::{mb, TextTable};
@@ -46,12 +46,13 @@ pub fn measure(quick: bool) -> Vec<OverlapRow> {
     let spec = DeviceSpec::k40c();
     // Eager offload/prefetch sized to its own peak; the Tensor Cache sized
     // below its comfort point so eviction traffic actually flows.
-    let lo_dram = predict_peak_bytes(&models::vgg16(batch), &spec, Policy::liveness_offload())
-        .expect("vgg16 fits a 12GB K40c")
-        + 8 * MB;
-    let sn_dram = predict_peak_bytes(&models::vgg16(batch), &spec, Policy::full_memory())
-        .expect("vgg16 fits a 12GB K40c")
-        + 4 * MB;
+    let peak = |policy| {
+        plan_prediction(&models::vgg16(batch), &spec, policy)
+            .expect("vgg16 fits a 12GB K40c")
+            .peak_bytes
+    };
+    let lo_dram = peak(Policy::liveness_offload()) + 8 * MB;
+    let sn_dram = peak(Policy::full_memory()) + 4 * MB;
 
     let configs: [(&'static str, Policy, u64); 2] = [
         ("liveness+offload", Policy::liveness_offload(), lo_dram),

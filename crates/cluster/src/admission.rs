@@ -25,42 +25,27 @@
 //! not reserved — a deployment sizing real NCCL-style ring buffers would
 //! add that fixed figure to each gang replica's reservation.
 
-use std::sync::Mutex;
-
-use fxhash::FxHashMap;
 use sn_runtime::{
     plan_prediction, plan_prediction_inference, GroupConfig, GroupExecutor, Interconnect,
-    PeakPrediction,
+    InterconnectKey, Memo, PeakPrediction,
 };
-use sn_sim::{DeviceSpec, SimTime};
+use sn_sim::{DeviceSpec, SimTime, SpecKey};
 
 use crate::job::{JobKind, JobSpec, PolicyPreset, Workload};
 
-/// Memoization key: everything the prediction depends on. Perf-relevant
-/// device fields are folded in bit-exactly so heterogeneous fleets that
-/// reuse a card name cannot alias — and the key carries the **device-spec
-/// cap** the prediction was compiled against (`capped_dram`, the DRAM of
-/// `spec.with_dram(budget)`), not just the preset: the planner adapts its
-/// evictions and workspaces to that cap, so a peak compiled for a larger
-/// device must never be reused for a smaller one.
+/// Memoization key: everything the prediction depends on. The device is
+/// folded whole through its [`SpecKey`], so heterogeneous fleets that reuse
+/// a card name cannot alias — and it is the **capped** device
+/// (`spec.with_dram(budget)`) the prediction was compiled against: the
+/// planner adapts its evictions and workspaces to that cap, so a peak
+/// compiled for a larger device must never be reused for a smaller one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ProfileKey {
     workload: Workload,
     batch: usize,
     preset: PolicyPreset,
     kind: JobKind,
-    device: String,
-    /// The cap applied to the prediction device: `capped.dram_bytes`.
-    capped_dram: u64,
-    gflops_bits: u64,
-    mem_bw_bits: u64,
-    h2d_bits: u64,
-    d2h_bits: u64,
-    unpinned_bits: u64,
-    malloc_base_ns: u64,
-    malloc_per_mib_ns: u64,
-    free_base_ns: u64,
-    kernel_launch_ns: u64,
+    capped: SpecKey,
 }
 
 impl ProfileKey {
@@ -76,17 +61,7 @@ impl ProfileKey {
             batch,
             preset,
             kind,
-            device: capped.name.clone(),
-            capped_dram: capped.dram_bytes,
-            gflops_bits: capped.peak_gflops.to_bits(),
-            mem_bw_bits: capped.mem_bw_gbps.to_bits(),
-            h2d_bits: capped.pcie_h2d_gbps.to_bits(),
-            d2h_bits: capped.pcie_d2h_gbps.to_bits(),
-            unpinned_bits: capped.unpinned_factor.to_bits(),
-            malloc_base_ns: capped.malloc_base.0,
-            malloc_per_mib_ns: capped.malloc_per_mib.0,
-            free_base_ns: capped.free_base.0,
-            kernel_launch_ns: capped.kernel_launch.0,
+            capped: capped.key(),
         }
     }
 }
@@ -97,32 +72,42 @@ impl ProfileKey {
 struct GangKey {
     profile: ProfileKey,
     replicas: usize,
-    ic_gbps_bits: u64,
-    ic_latency_ns: u64,
+    interconnect: InterconnectKey,
 }
 
 /// Memoizing wrapper around the plan compiler: the cluster loop re-evaluates
 /// queued jobs at every event, but distinct (workload, batch, preset, kind,
-/// capped device) tuples are few, so each prediction compiles at most once.
-/// `None` records "does not fit within this budget".
+/// capped device) tuples are few, so each prediction compiles at most once
+/// while the memo holds it. `None` records "does not fit within this
+/// budget".
 ///
-/// The caches are `Mutex`-guarded Fx-hashed maps (the keys are internal
-/// structs — no untrusted input, no need for SipHash), which makes the
-/// profiler `Sync`: admission sweeps evaluate ladder candidates for many
-/// devices concurrently over the rayon shim, all sharing this memo. A
-/// concurrent miss may compile the same prediction twice; both results are
-/// identical (compilation is deterministic) and the last insert wins.
-#[derive(Default)]
+/// Both caches are [`Memo`]s, which makes the profiler `Sync`: admission
+/// sweeps evaluate ladder candidates for many devices concurrently over the
+/// rayon shim, all sharing this memo. A concurrent miss may compile the
+/// same prediction twice; compilation is deterministic and the first insert
+/// wins.
 pub struct Profiler {
-    cache: Mutex<FxHashMap<ProfileKey, Option<PeakPrediction>>>,
+    /// Capped at 4096 predictions; a fleet holds at most 32 budgets per
+    /// distinct device (see [`quantized_budget`]).
+    cache: Memo<ProfileKey, Option<PeakPrediction>>,
     /// Measured gang step times: one group execution per distinct
     /// (workload, batch, preset, capped device, replicas, fabric) tuple.
-    gang: Mutex<FxHashMap<GangKey, Option<SimTime>>>,
+    /// Capped at 1024 measurements.
+    gang: Memo<GangKey, Option<SimTime>>,
+}
+
+impl Default for Profiler {
+    fn default() -> Profiler {
+        Profiler::new()
+    }
 }
 
 impl Profiler {
     pub fn new() -> Profiler {
-        Profiler::default()
+        Profiler {
+            cache: Memo::new(4096),
+            gang: Memo::new(1024),
+        }
     }
 
     /// Predicted cost of one replica of (`workload`, `batch`, `kind`) under
@@ -140,16 +125,17 @@ impl Profiler {
     ) -> Option<PeakPrediction> {
         let capped = spec.clone().with_dram(budget);
         let key = ProfileKey::new(workload, batch, preset, kind, &capped);
-        if let Some(hit) = self.cache.lock().unwrap().get(&key) {
-            return *hit;
-        }
-        let net = workload.build(batch);
-        let result = match kind {
-            JobKind::Training => plan_prediction(&net, &capped, preset.policy()).ok(),
-            JobKind::Inference => plan_prediction_inference(&net, &capped, preset.policy()).ok(),
-        };
-        self.cache.lock().unwrap().insert(key, result);
-        result
+        self.cache
+            .get_or_insert_with(key, || {
+                let net = workload.build(batch);
+                match kind {
+                    JobKind::Training => plan_prediction(&net, &capped, preset.policy()).ok(),
+                    JobKind::Inference => {
+                        plan_prediction_inference(&net, &capped, preset.policy()).ok()
+                    }
+                }
+            })
+            .0
     }
 
     /// Is this prediction already memoized? One hash lookup — the cluster
@@ -167,8 +153,8 @@ impl Profiler {
         budget: u64,
     ) -> bool {
         let capped = spec.clone().with_dram(budget);
-        let key = ProfileKey::new(workload, batch, preset, kind, &capped);
-        self.cache.lock().unwrap().contains_key(&key)
+        self.cache
+            .contains(&ProfileKey::new(workload, batch, preset, kind, &capped))
     }
 
     /// [`Profiler::profile_kind`] for training jobs (the historical entry
@@ -205,36 +191,37 @@ impl Profiler {
         let key = GangKey {
             profile: ProfileKey::new(workload, batch, preset, JobKind::Training, spec),
             replicas,
-            ic_gbps_bits: interconnect.gbps.to_bits(),
-            ic_latency_ns: interconnect.latency.0,
+            interconnect: interconnect.key(),
         };
-        if let Some(hit) = self.gang.lock().unwrap().get(&key) {
-            return *hit;
-        }
-        let net = workload.build(batch);
-        // Tuned presets carry their own all-reduce bucket target; the gang
-        // must be measured with it or the tuned step time would be fiction.
-        let cfg = GroupConfig::new(replicas, interconnect).with_bucket_bytes(preset.bucket_bytes());
-        let result = GroupExecutor::new(&net, spec.clone(), preset.policy(), cfg)
-            .ok()
-            .and_then(|mut gx| {
-                gx.run_iteration().ok()?; // cold (allocator warm-up)
-                let warm = gx.run_iteration().ok()?;
-                debug_assert!(warm.peaks_match, "gang replica diverged from its plan");
-                Some(warm.step_time)
-            });
-        self.gang.lock().unwrap().insert(key, result);
-        result
+        self.gang
+            .get_or_insert_with(key, || {
+                let net = workload.build(batch);
+                // Tuned presets carry their own all-reduce bucket target; the
+                // gang must be measured with it or the tuned step time would
+                // be fiction.
+                let cfg = GroupConfig::new(replicas, interconnect)
+                    .with_bucket_bytes(preset.bucket_bytes());
+                GroupExecutor::new(&net, spec.clone(), preset.policy(), cfg)
+                    .ok()
+                    .and_then(|mut gx| {
+                        gx.run_iteration().ok()?; // cold (allocator warm-up)
+                        let warm = gx.run_iteration().ok()?;
+                        debug_assert!(warm.peaks_match, "gang replica diverged from its plan");
+                        Some(warm.step_time)
+                    })
+            })
+            .0
     }
 
-    /// Number of distinct predictions compiled so far.
+    /// Number of distinct predictions memoized (every one compiled so far,
+    /// until the memo's cap resets it).
     pub fn simulated(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.cache.len()
     }
 
-    /// Number of distinct gang step measurements executed so far.
+    /// Number of distinct gang step measurements memoized.
     pub fn gangs_measured(&self) -> usize {
-        self.gang.lock().unwrap().len()
+        self.gang.len()
     }
 }
 

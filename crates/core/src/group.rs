@@ -34,9 +34,8 @@
 //! equals [`crate::parallel::ring_allreduce_wire_bytes`] of the total
 //! gradient payload exactly, for every bucket split and replica count.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-use fxhash::FxHashMap;
 use sn_graph::{LayerId, Net, StepPhase};
 use sn_sim::{
     DeviceGroup, DeviceSpec, EngineKind, Event, SimTime, SpanLabel, StreamId, Timeline, TraceSink,
@@ -44,7 +43,8 @@ use sn_sim::{
 use sn_telemetry::MetricsRegistry;
 
 use crate::executor::{finite_rate, ExecError, Executor, IterationReport};
-use crate::parallel::{bucket_wire_bytes, ring_wire_time, Interconnect};
+use crate::memo::Memo;
+use crate::parallel::{bucket_wire_bytes, ring_wire_time, Interconnect, InterconnectKey};
 use crate::plan::{self, CompiledPlan, MemoryPlan, PlanKey, PlanOp};
 use crate::policy::Policy;
 
@@ -278,17 +278,13 @@ struct GroupKey {
     plan: PlanKey,
     replicas: usize,
     bucket_bytes: u64,
-    ic_gbps_bits: u64,
-    ic_latency_ns: u64,
+    interconnect: InterconnectKey,
 }
 
-type GroupMemoMap = FxHashMap<GroupKey, Result<Arc<GroupPlan>, ExecError>>;
-
-static GROUP_MEMO: OnceLock<Mutex<GroupMemoMap>> = OnceLock::new();
-
-/// Same overflow policy as the plan memo: group plans are recomputable, so
-/// a runaway sweep just resets the map.
-const GROUP_MEMO_CAP: usize = 1024;
+/// Capped at 1024 entries (group plans are recomputable); counts on the
+/// registry as `group.memo.{hit,miss}`.
+static GROUP_MEMO: Memo<GroupKey, Result<Arc<GroupPlan>, ExecError>> =
+    Memo::named(1024, "group.memo");
 
 /// [`compile_group`] through the group memo; repeated gang admissions for
 /// the same `(net, policy, device, replicas, fabric)` tuple are a hash
@@ -304,35 +300,11 @@ pub fn compile_group_memo(
         plan: PlanKey::new(net, spec, policy, false),
         replicas: cfg.replicas,
         bucket_bytes: cfg.bucket_bytes,
-        ic_gbps_bits: cfg.interconnect.gbps.to_bits(),
-        ic_latency_ns: cfg.interconnect.latency.0,
+        interconnect: cfg.interconnect.key(),
     };
-    let memo = GROUP_MEMO.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
-        group_memo_metrics().0.inc();
-        return hit.clone();
-    }
-    group_memo_metrics().1.inc();
-    let result = compile_group(net, spec, policy, cfg).map(Arc::new);
-    let mut map = memo.lock().unwrap();
-    if map.len() >= GROUP_MEMO_CAP {
-        map.clear();
-    }
-    map.insert(key, result.clone());
-    result
-}
-
-/// `group.memo.{hit,miss}` counters on the process-wide registry —
-/// monotone like the memo itself, mirroring `plan.memo.{hit,miss}`.
-fn group_memo_metrics() -> &'static (sn_telemetry::Counter, sn_telemetry::Counter) {
-    static HANDLES: OnceLock<(sn_telemetry::Counter, sn_telemetry::Counter)> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let reg = sn_telemetry::global();
-        (
-            reg.counter("group.memo.hit"),
-            reg.counter("group.memo.miss"),
-        )
-    })
+    GROUP_MEMO
+        .get_or_insert_with(key, || compile_group(net, spec, policy, cfg).map(Arc::new))
+        .0
 }
 
 // ---------------------------------------------------------------------
@@ -762,6 +734,23 @@ mod tests {
             // And the residency trajectory is untouched by either mode.
             assert_eq!(olap.replica.peak_bytes, serial.replica.peak_bytes);
         }
+    }
+
+    #[test]
+    fn faster_interconnect_scales_better() {
+        let net = stub(8);
+        let spec = DeviceSpec::k40c();
+        let run = |ic: Interconnect| {
+            let cfg = GroupConfig::new(8, ic).with_bucket_bytes(64 << 10);
+            let mut gx =
+                GroupExecutor::new(&net, spec.clone(), Policy::superneurons(), cfg.serialized())
+                    .unwrap();
+            gx.run_iterations(2).unwrap()
+        };
+        let (pcie, nv) = (run(Interconnect::pcie()), run(Interconnect::nvlink()));
+        assert_eq!(pcie.wire_bytes, nv.wire_bytes);
+        assert!(nv.allreduce_busy < pcie.allreduce_busy);
+        assert!(nv.imgs_per_sec(8) > pcie.imgs_per_sec(8));
     }
 
     #[test]

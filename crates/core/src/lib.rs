@@ -29,6 +29,8 @@
 //! * [`device`] — the device bundle (timeline + allocator + pinned host);
 //! * [`convalgo`] — the cuDNN-style convolution algorithm catalogue and the
 //!   dynamic workspace selector (§3.5);
+//! * [`memo`] — the one capped, counted cache type behind the analysis,
+//!   plan, group and tune memos and the cluster's admission profiler;
 //! * [`recompute`] — Cost-Aware Recomputation segment planning (§3.4);
 //! * [`numeric`] — a real compute backend proving the plans preserve exact
 //!   training semantics;
@@ -44,6 +46,7 @@ pub mod convalgo;
 pub mod device;
 pub mod executor;
 pub mod group;
+pub mod memo;
 pub mod numeric;
 pub mod parallel;
 pub mod plan;
@@ -62,16 +65,17 @@ pub use group::{
     compile_group, compile_group_memo, GradBucket, GroupConfig, GroupExecutor,
     GroupIterationReport, GroupPlan,
 };
+pub use memo::{Memo, MemoStats};
 pub use parallel::{
     bucket_wire_bytes, ring_allreduce_time, ring_allreduce_wire_bytes, ring_wire_time,
-    DataParallel, Interconnect, ParallelReport,
+    Interconnect, InterconnectKey,
 };
 pub use plan::{CompiledPlan, MemoryPlan, PlanOp, StepPlan, TensorLifetime, WorkspacePlan};
 pub use policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
 pub use recompute::{RecomputePlan, Segment, SegmentStrategy};
 pub use session::{
-    plan_prediction, plan_prediction_inference, predict_peak_bytes, predict_run, InferenceReport,
-    InferenceSession, PeakPrediction, Session, SessionReport,
+    plan_prediction, plan_prediction_inference, predict_run, InferenceReport, InferenceSession,
+    PeakPrediction, Session, SessionReport,
 };
 pub use tiers::{Tier, TierConfig, TieredPool};
 pub use tune::{SearchOutcome, TuneConfig, TunedId, TunedPolicy};

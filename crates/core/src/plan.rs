@@ -31,8 +31,9 @@
 //!   `(net fingerprint, policy, device)` key and returns a shared
 //!   `Arc<CompiledPlan>`; admission ladders and feasibility searches that
 //!   re-ask the same question get the answer back in hash-lookup time
-//!   (OOM outcomes are memoized too). [`plan_memo_stats`] exposes
-//!   hit/miss counters; [`clear_plan_memo`] resets (bench support).
+//!   (OOM outcomes are memoized too). Both caches are
+//!   [`crate::memo::Memo`]s; [`plan_memo_stats`] exposes the plan memo's
+//!   hit/miss counters and [`clear_plan_memo`] empties it (bench support).
 //!
 //! None of this changes a single planned byte: the `plan` bench experiment
 //! still asserts plan peaks equal executed peaks across the preset × model
@@ -58,17 +59,17 @@
 //! gradients exist, every output is freed at its last forward reader, and
 //! nothing is eagerly offloaded (there is no backward to fetch it back for).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-use fxhash::FxHashMap;
 use sn_graph::liveness::{LivenessOptions, LivenessPlan, TensorId, TensorRole};
 use sn_graph::{LayerId, Net, NetCost, Route, StepPhase};
-use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime};
+use sn_sim::{AllocGrant, DeviceAllocator, DeviceSpec, SimTime, SpecKey};
 
 use crate::convalgo::{self, AlgoChoice};
 use crate::device::Device;
 use crate::executor::{Counters, ExecError};
+use crate::memo::Memo;
+pub use crate::memo::MemoStats;
 use crate::policy::{Policy, RecomputeMode, WorkspacePolicy};
 use crate::recompute::{RecomputePlan, SegmentStrategy};
 use crate::tiers::Tier;
@@ -347,11 +348,9 @@ struct Analyses {
 
 type AnalysisKey = ((u64, u64), bool, LivenessOptions, RecomputeMode);
 
-static ANALYSIS_CACHE: OnceLock<Mutex<FxHashMap<AnalysisKey, Analyses>>> = OnceLock::new();
-
-/// Cap on cached analysis bundles; the set of distinct nets in any one
-/// process is small, this only guards against unbounded growth.
-const ANALYSIS_CACHE_CAP: usize = 512;
+/// Capped at 512 bundles: the set of distinct nets in any one process is
+/// small, the cap only guards against unbounded growth.
+static ANALYSIS_CACHE: Memo<AnalysisKey, Analyses> = Memo::new(512);
 
 /// The planner-facing inputs derived from the graph alone. `effective_*`
 /// mirror [`compile`]'s inference adjustments, so the cache key is exactly
@@ -360,17 +359,9 @@ fn analyses_for(net: &Net, policy: Policy, inference: bool) -> Analyses {
     let options = effective_liveness_options(policy, inference);
     let rmode = effective_recompute_mode(policy, inference);
     let key = (net.fingerprint(), inference, options, rmode);
-    let cache = ANALYSIS_CACHE.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(hit) = cache.lock().unwrap().get(&key) {
-        return hit.clone();
-    }
-    let a = build_analyses(net, options, rmode, inference);
-    let mut map = cache.lock().unwrap();
-    if map.len() >= ANALYSIS_CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, a.clone());
-    a
+    ANALYSIS_CACHE
+        .get_or_insert_with(key, || build_analyses(net, options, rmode, inference))
+        .0
 }
 
 fn build_analyses(
@@ -428,26 +419,16 @@ fn effective_recompute_mode(policy: Policy, inference: bool) -> RecomputeMode {
 // The plan memo: (fingerprint, policy, device) → Arc<CompiledPlan>.
 // ---------------------------------------------------------------------
 
-/// Everything a compilation's outcome depends on, folded bit-exactly
-/// (floats via `to_bits`), including the **device cap**: the planner adapts
-/// evictions and workspaces to `dram_bytes`, so a plan compiled for one cap
-/// must never be served for another.
+/// Everything a compilation's outcome depends on, including the whole
+/// device spec and so its **cap**: the planner adapts evictions and
+/// workspaces to `dram_bytes`, so a plan compiled for one cap must never be
+/// served for another.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     fp: (u64, u64),
     inference: bool,
     policy: Policy,
-    dev_name: String,
-    dram: u64,
-    gflops_bits: u64,
-    mem_bw_bits: u64,
-    h2d_bits: u64,
-    d2h_bits: u64,
-    unpinned_bits: u64,
-    malloc_base_ns: u64,
-    malloc_per_mib_ns: u64,
-    free_base_ns: u64,
-    kernel_launch_ns: u64,
+    spec: SpecKey,
 }
 
 impl PlanKey {
@@ -456,64 +437,29 @@ impl PlanKey {
             fp: net.fingerprint(),
             inference,
             policy,
-            dev_name: spec.name.clone(),
-            dram: spec.dram_bytes,
-            gflops_bits: spec.peak_gflops.to_bits(),
-            mem_bw_bits: spec.mem_bw_gbps.to_bits(),
-            h2d_bits: spec.pcie_h2d_gbps.to_bits(),
-            d2h_bits: spec.pcie_d2h_gbps.to_bits(),
-            unpinned_bits: spec.unpinned_factor.to_bits(),
-            malloc_base_ns: spec.malloc_base.0,
-            malloc_per_mib_ns: spec.malloc_per_mib.0,
-            free_base_ns: spec.free_base.0,
-            kernel_launch_ns: spec.kernel_launch.0,
+            spec: spec.key(),
         }
     }
 }
 
-type MemoMap = FxHashMap<PlanKey, Result<Arc<CompiledPlan>, ExecError>>;
+/// Capped at 4096 entries: a runaway sweep over thousands of distinct nets
+/// must not pin every plan it ever compiled. Counts on the registry as
+/// `plan.memo.{hit,miss}`.
+static PLAN_MEMO: Memo<PlanKey, Result<Arc<CompiledPlan>, ExecError>> =
+    Memo::named(4096, "plan.memo");
 
-static PLAN_MEMO: OnceLock<Mutex<MemoMap>> = OnceLock::new();
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Entry cap: a runaway sweep over thousands of distinct nets must not pin
-/// every plan it ever compiled. On overflow the whole memo resets (plans
-/// are recomputable by definition).
-const PLAN_MEMO_CAP: usize = 4096;
-
-/// Plan-memo effectiveness counters (process-wide, reset by
-/// [`clear_plan_memo`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub entries: usize,
-}
-
-/// Current hit/miss/entry counts of the plan memo.
+/// Hit/miss/entry counts of the plan memo; hits and misses are cumulative
+/// since process start.
 pub fn plan_memo_stats() -> MemoStats {
-    let entries = PLAN_MEMO
-        .get()
-        .map(|m| m.lock().unwrap().len())
-        .unwrap_or(0);
-    MemoStats {
-        hits: MEMO_HITS.load(Ordering::Relaxed),
-        misses: MEMO_MISSES.load(Ordering::Relaxed),
-        entries,
-    }
+    PLAN_MEMO.stats()
 }
 
-/// Drop every memoized plan and zero the hit/miss counters; the shared
-/// analysis bundles stay warm. Benchmark support (measuring a memo-cold,
+/// Drop every memoized plan; the shared analysis bundles stay warm and the
+/// hit/miss counts keep counting. Benchmark support (measuring a memo-cold,
 /// analyses-warm compile — the steady-state admission regime) — never
 /// needed for correctness.
 pub fn clear_plan_memo() {
-    if let Some(m) = PLAN_MEMO.get() {
-        m.lock().unwrap().clear();
-    }
-    MEMO_HITS.store(0, Ordering::Relaxed);
-    MEMO_MISSES.store(0, Ordering::Relaxed);
+    PLAN_MEMO.clear();
 }
 
 /// [`clear_plan_memo`] plus the shared analysis cache: the next compile of
@@ -521,62 +467,20 @@ pub fn clear_plan_memo() {
 /// the first-contact cold state.
 pub fn clear_all_caches() {
     clear_plan_memo();
-    if let Some(m) = ANALYSIS_CACHE.get() {
-        m.lock().unwrap().clear();
-    }
+    ANALYSIS_CACHE.clear();
 }
 
-fn compile_memo_inner(
-    net: &Net,
-    spec: &DeviceSpec,
-    policy: Policy,
-    inference: bool,
-) -> Result<Arc<CompiledPlan>, ExecError> {
-    compile_memo_traced(net, spec, policy, inference).0
-}
-
-/// `(hit, miss)` counters of the process-wide metrics registry, mirroring
-/// `MEMO_HITS`/`MEMO_MISSES` so memo effectiveness shows up in metrics
-/// snapshots. Handles resolved once — the memo path pays two relaxed
-/// atomic increments, nothing more. The registry counters are monotone
-/// (never reset by [`clear_plan_memo`]): snapshot consumers difference
-/// them across a run.
-fn memo_metrics() -> &'static (sn_telemetry::Counter, sn_telemetry::Counter) {
-    static HANDLES: OnceLock<(sn_telemetry::Counter, sn_telemetry::Counter)> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let reg = sn_telemetry::global();
-        (reg.counter("plan.memo.hit"), reg.counter("plan.memo.miss"))
-    })
-}
-
-/// [`compile_memo_inner`] reporting whether the result was a memo hit.
-/// Test support: the global hit/miss counters are shared by every test in
-/// a process, so tests assert on this per-call flag instead.
-fn compile_memo_traced(
+/// One plan-memo lookup, compiling on a miss; the flag is `true` on a hit.
+/// Callers that report memo effectiveness count this flag.
+pub(crate) fn lookup(
     net: &Net,
     spec: &DeviceSpec,
     policy: Policy,
     inference: bool,
 ) -> (Result<Arc<CompiledPlan>, ExecError>, bool) {
-    let key = PlanKey::new(net, spec, policy, inference);
-    let memo = PLAN_MEMO.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        memo_metrics().0.inc();
-        return (hit.clone(), true);
-    }
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    memo_metrics().1.inc();
-    // Compile outside the lock: concurrent sweeps may duplicate a compile
-    // (both produce identical plans — last insert wins) but never block on
-    // each other's compilation.
-    let result = compile_inner(net, spec, policy, inference).map(Arc::new);
-    let mut map = memo.lock().unwrap();
-    if map.len() >= PLAN_MEMO_CAP {
-        map.clear();
-    }
-    map.insert(key, result.clone());
-    (result, false)
+    PLAN_MEMO.get_or_insert_with(PlanKey::new(net, spec, policy, inference), || {
+        compile_inner(net, spec, policy, inference).map(Arc::new)
+    })
 }
 
 /// [`compile`] through the plan memo: repeated compilations of the same
@@ -589,7 +493,7 @@ pub fn compile_memo(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<Arc<CompiledPlan>, ExecError> {
-    compile_memo_inner(net, spec, policy, false)
+    lookup(net, spec, policy, false).0
 }
 
 /// [`compile_inference`] through the plan memo.
@@ -598,7 +502,7 @@ pub fn compile_inference_memo(
     spec: &DeviceSpec,
     policy: Policy,
 ) -> Result<Arc<CompiledPlan>, ExecError> {
-    compile_memo_inner(net, spec, policy, true)
+    lookup(net, spec, policy, true).0
 }
 
 // ---------------------------------------------------------------------
@@ -1295,12 +1199,14 @@ mod tests {
     use super::*;
     use sn_graph::Shape4;
 
-    /// Serializes the tests that clear the process-global plan memo, so
-    /// they cannot evict each other's entries when the harness runs tests
-    /// on multiple threads.
-    fn memo_test_lock() -> &'static Mutex<()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
+    /// A K40c whose name no other test uses: the memo keys on the whole
+    /// spec, so a test's first lookup on it is a miss whatever else the
+    /// binary compiles concurrently.
+    fn memo_spec(test: &str) -> DeviceSpec {
+        DeviceSpec {
+            name: format!("plan-memo {test}"),
+            ..DeviceSpec::k40c()
+        }
     }
 
     fn small_net(batch: usize) -> Net {
@@ -1447,29 +1353,22 @@ mod tests {
 
     #[test]
     fn memo_returns_shared_plans_and_counts_hits() {
-        // Serialized against the other memo tests: they call
-        // clear_plan_memo(), which would evict entries between this test's
-        // paired lookups. (Other tests in the binary only *add* entries for
-        // their own keys, which cannot perturb the per-call hit flags
-        // asserted here.)
-        let _guard = memo_test_lock().lock().unwrap();
         let net = small_net(10);
-        let spec = DeviceSpec::k40c();
+        let spec = memo_spec("shared");
         let policy = Policy::superneurons();
-        clear_plan_memo();
-        let (a, a_hit) = compile_memo_traced(&net, &spec, policy, false);
-        let (b, b_hit) = compile_memo_traced(&net, &spec, policy, false);
+        let (a, a_hit) = lookup(&net, &spec, policy, false);
+        let (b, b_hit) = lookup(&net, &spec, policy, false);
         let (a, b) = (a.unwrap(), b.unwrap());
         assert!(!a_hit, "first compile must be a miss");
         assert!(b_hit, "repeat compile must be a hit");
         assert!(Arc::ptr_eq(&a, &b), "memo must return the shared Arc");
         // A different device cap is a different plan — no aliasing.
         let capped = spec.clone().with_dram(spec.dram_bytes / 2);
-        let (c, c_hit) = compile_memo_traced(&net, &capped, policy, false);
+        let (c, c_hit) = lookup(&net, &capped, policy, false);
         assert!(!c_hit, "distinct caps must not share an entry");
         assert!(!Arc::ptr_eq(&a, &c.unwrap()));
         // Inference and training never alias.
-        let (i, i_hit) = compile_memo_traced(&net, &spec, policy, true);
+        let (i, i_hit) = lookup(&net, &spec, policy, true);
         assert!(!i_hit);
         let i = i.unwrap();
         assert!(i.plan.inference && !a.plan.inference);
@@ -1477,13 +1376,11 @@ mod tests {
 
     #[test]
     fn memo_caches_oom_outcomes() {
-        let _guard = memo_test_lock().lock().unwrap();
         let net = small_net(32);
-        let tiny = DeviceSpec::k40c().with_dram(64 << 10);
-        clear_plan_memo();
-        let (r1, h1) = compile_memo_traced(&net, &tiny, Policy::baseline(), false);
+        let tiny = memo_spec("oom").with_dram(64 << 10);
+        let (r1, h1) = lookup(&net, &tiny, Policy::baseline(), false);
         assert!(r1.is_err() && !h1);
-        let (r2, h2) = compile_memo_traced(&net, &tiny, Policy::baseline(), false);
+        let (r2, h2) = lookup(&net, &tiny, Policy::baseline(), false);
         assert!(r2.is_err());
         assert!(h2, "second failure must be served from the memo");
     }
@@ -1492,9 +1389,7 @@ mod tests {
     fn distinct_nets_never_alias_in_the_memo() {
         // Same shape of call, different structure: the fingerprint must
         // separate them even when name and batch agree.
-        let _guard = memo_test_lock().lock().unwrap();
-        let spec = DeviceSpec::k40c();
-        clear_plan_memo();
+        let spec = memo_spec("nets");
         let a = compile_memo(&small_net(8), &spec, Policy::baseline()).unwrap();
         let other = {
             // Same name, same batch, one extra ACT before the FC.
@@ -1510,7 +1405,7 @@ mod tests {
             net.softmax(f);
             net
         };
-        let (b, b_hit) = compile_memo_traced(&other, &spec, Policy::baseline(), false);
+        let (b, b_hit) = lookup(&other, &spec, Policy::baseline(), false);
         assert!(!b_hit, "structurally distinct nets must not alias");
         assert_ne!(a.plan.steps.len(), b.unwrap().plan.steps.len());
     }
@@ -1522,14 +1417,12 @@ mod tests {
         // `Policy`, hence of `PlanKey`, and the plans size tensors
         // differently.
         use sn_graph::Precision;
-        let _guard = memo_test_lock().lock().unwrap();
         let net = small_net(8);
-        let spec = DeviceSpec::k40c();
-        clear_plan_memo();
+        let spec = memo_spec("precisions");
         let fp32 = Policy::superneurons();
         let bf16 = fp32.with_precision(Precision::bf16_mixed());
-        let (a, a_hit) = compile_memo_traced(&net, &spec, fp32, false);
-        let (b, b_hit) = compile_memo_traced(&net, &spec, bf16, false);
+        let (a, a_hit) = lookup(&net, &spec, fp32, false);
+        let (b, b_hit) = lookup(&net, &spec, bf16, false);
         assert!(!a_hit && !b_hit, "distinct precisions must both miss");
         let (a, b) = (a.unwrap(), b.unwrap());
         assert!(!Arc::ptr_eq(&a, &b));
@@ -1540,8 +1433,8 @@ mod tests {
             a.plan.peak_bytes
         );
         // Each precision still hits its own entry on repeat.
-        let (a2, a2_hit) = compile_memo_traced(&net, &spec, fp32, false);
-        let (b2, b2_hit) = compile_memo_traced(&net, &spec, bf16, false);
+        let (a2, a2_hit) = lookup(&net, &spec, fp32, false);
+        let (b2, b2_hit) = lookup(&net, &spec, bf16, false);
         assert!(a2_hit && b2_hit);
         assert!(Arc::ptr_eq(&a, &a2.unwrap()));
         assert!(Arc::ptr_eq(&b, &b2.unwrap()));

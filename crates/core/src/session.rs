@@ -2,12 +2,11 @@
 //! measure — [`Session`] for training iterations, [`InferenceSession`] for
 //! forward-only serving. Used by the examples and the experiment harness.
 //!
-//! Also home of the admission predictors: [`predict_run`] measures a full
-//! simulated iteration (the legacy, validation-grade path), while
-//! [`plan_prediction`] only *compiles* a [`crate::MemoryPlan`] — no timeline,
-//! no DMA events, no trace — and reads the exact peak off the plan. The two
-//! agree on `peak_bytes` by construction; the cluster scheduler uses the
-//! compile-only path on its admission hot path.
+//! Also home of the peak predictor: [`plan_prediction`] only *compiles* a
+//! [`crate::MemoryPlan`] — no timeline, no DMA events, no trace — and reads
+//! the exact peak off the plan. [`predict_run`] measures a full simulated
+//! iteration instead; it is kept as the oracle tests and the `plan` bench
+//! compare the compiled peak against (the two agree by construction).
 
 use sn_graph::Net;
 use sn_sim::{DeviceSpec, SimTime};
@@ -85,10 +84,9 @@ pub struct PeakPrediction {
 
 /// Predict what training `net` under `policy` costs on `spec` by *running*
 /// the interpreter: one cold and one warm virtual iteration (no numeric
-/// compute). The validation-grade path — [`plan_prediction`] returns the
-/// same `peak_bytes` from a compile alone and is what admission control
-/// should call. Errors mean the job cannot run within `spec.dram_bytes` at
-/// all — the admission-control "reject" signal.
+/// compute). The oracle for [`plan_prediction`], which returns the same
+/// `peak_bytes` from a compile alone and is what every production path
+/// calls. Errors mean the job cannot run within `spec.dram_bytes` at all.
 pub fn predict_run(
     net: &Net,
     spec: &DeviceSpec,
@@ -102,11 +100,6 @@ pub fn predict_run(
         iter_time: warm.iter_time,
         weight_bytes: ex.cost.total_weight_bytes(),
     })
-}
-
-/// Just the predicted peak bytes — see [`predict_run`].
-pub fn predict_peak_bytes(net: &Net, spec: &DeviceSpec, policy: Policy) -> Result<u64, ExecError> {
-    predict_run(net, spec, policy).map(|p| p.peak_bytes)
 }
 
 /// The admission-control hot path: compile a training [`crate::MemoryPlan`]
@@ -161,9 +154,10 @@ impl Session {
     }
 
     /// Predicted peak device bytes for this session's configuration — the
-    /// reservation a multi-tenant scheduler must hold. See [`predict_run`].
+    /// reservation a multi-tenant scheduler must hold. See
+    /// [`plan_prediction`].
     pub fn predicted_peak_bytes(&self) -> Result<u64, ExecError> {
-        predict_peak_bytes(&self.net, &self.spec, self.policy)
+        plan_prediction(&self.net, &self.spec, self.policy).map(|p| p.peak_bytes)
     }
 
     /// Run the session and aggregate.
@@ -445,11 +439,7 @@ mod tests {
         assert!(p.peak_bytes > 0 && p.peak_bytes <= spec.dram_bytes);
         assert!(p.iter_time > SimTime::ZERO);
         assert!(p.weight_bytes > 0);
-        // The convenience wrappers agree with the full prediction.
-        assert_eq!(
-            predict_peak_bytes(&net, &spec, Policy::superneurons()).unwrap(),
-            p.peak_bytes
-        );
+        // The session's compiled prediction agrees with the oracle.
         let s = Session::new(netb(32), spec, Policy::superneurons());
         assert_eq!(s.predicted_peak_bytes().unwrap(), p.peak_bytes);
     }
@@ -471,9 +461,10 @@ mod tests {
             net
         };
         let spec = DeviceSpec::k40c();
-        let base = predict_peak_bytes(&deep(32), &spec, Policy::baseline()).unwrap();
+        let peak = |spec: &DeviceSpec, policy| plan_prediction(&deep(32), spec, policy).unwrap();
+        let base = peak(&spec, Policy::baseline()).peak_bytes;
         let tight = spec.with_dram(base / 2);
-        let sn = predict_peak_bytes(&deep(32), &tight, Policy::superneurons()).unwrap();
+        let sn = peak(&tight, Policy::superneurons()).peak_bytes;
         assert!(sn < base, "superneurons {sn} must undercut baseline {base}");
         assert!(sn <= tight.dram_bytes, "prediction must respect the budget");
     }
@@ -481,7 +472,7 @@ mod tests {
     #[test]
     fn prediction_errors_signal_rejection() {
         let spec = DeviceSpec::k40c().with_dram(64 << 10);
-        assert!(predict_peak_bytes(&netb(32), &spec, Policy::baseline()).is_err());
+        assert!(predict_run(&netb(32), &spec, Policy::baseline()).is_err());
         assert!(plan_prediction(&netb(32), &spec, Policy::baseline()).is_err());
     }
 

@@ -52,14 +52,14 @@ use fxhash::{FxHashMap, FxHashSet, FxHasher};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sn_graph::Net;
-use sn_sim::{DeviceSpec, SimTime};
+use sn_sim::{DeviceSpec, SimTime, SpecKey};
 
 use crate::executor::ExecError;
 use crate::group::{GroupConfig, GroupExecutor, DEFAULT_BUCKET_BYTES};
-use crate::parallel::Interconnect;
+use crate::memo::Memo;
+use crate::parallel::{Interconnect, InterconnectKey};
 use crate::plan;
 use crate::policy::{AllocatorKind, CachePolicy, Policy, RecomputeMode, WorkspacePolicy};
-use crate::session::plan_prediction;
 use crate::tiers::TierConfig;
 
 /// Prefetch-ahead windows the sampler draws from (the hand presets all sit
@@ -177,8 +177,8 @@ pub struct TunedPolicy {
     /// Name of that best hand preset.
     pub hand_name: &'static str,
     pub seed: u64,
-    /// Feasibility evaluations spent (each is exactly one memoized-compile
-    /// lookup via [`plan_prediction`]).
+    /// Feasibility evaluations spent (each is exactly one plan-memo
+    /// lookup).
     pub evals: u64,
     /// Lattice cells skipped: invalid knob combos, duplicates, infeasible
     /// points, and halving-stage drops.
@@ -196,9 +196,10 @@ pub struct SearchOutcome {
     pub tuned: TunedPolicy,
     /// One line per search event, in deterministic order.
     pub trace: Vec<String>,
-    /// Plan-memo hits observed inside the search's feasibility batches.
+    /// Plan-memo hits among the search's feasibility lookups, counted from
+    /// each lookup's own hit flag.
     pub memo_hits: u64,
-    /// Plan-memo lookups (hits + misses) those batches performed — equals
+    /// Plan-memo lookups (hits + misses) the search performed — equals
     /// `tuned.evals` (the `metrics_consistent` bench gate).
     pub memo_lookups: u64,
     /// Real wall-clock time of the search.
@@ -374,9 +375,8 @@ struct Search<'a> {
 
 impl Search<'_> {
     /// Feasibility-check `policies` in one `par_map` batch over the plan
-    /// memo. Exactly one memoized-compile lookup per *uncached* policy; the
-    /// memo-stat delta around the batch is the attribution the
-    /// `metrics_consistent` gate checks.
+    /// memo: exactly one lookup per *uncached* policy, each counted as a
+    /// hit or a miss from the flag it returns.
     fn feasibility_batch(&mut self, stage: &str, policies: &[Policy]) {
         let fresh: Vec<Policy> = {
             let mut seen = FxHashSet::default();
@@ -389,20 +389,19 @@ impl Search<'_> {
         if fresh.is_empty() {
             return;
         }
-        let before = plan::plan_memo_stats();
         let net = self.net;
         let spec = self.spec;
-        let verdicts = rayon::par_map_workers(&fresh, self.workers, |p| {
-            plan_prediction(net, spec, *p)
+        let lookups = rayon::par_map_workers(&fresh, self.workers, |p| {
+            let (compiled, hit) = plan::lookup(net, spec, *p, false);
+            let verdict = compiled
                 .ok()
-                .map(|pred| (pred.peak_bytes, pred.iter_time))
+                .map(|c| (c.plan.peak_bytes, c.plan.iter_time_estimate()));
+            (verdict, hit)
         });
-        let after = plan::plan_memo_stats();
         self.evals += fresh.len() as u64;
-        self.memo_hits += after.hits.saturating_sub(before.hits);
-        self.memo_lookups +=
-            (after.hits + after.misses).saturating_sub(before.hits + before.misses);
-        for (p, v) in fresh.into_iter().zip(verdicts) {
+        self.memo_lookups += lookups.len() as u64;
+        self.memo_hits += lookups.iter().filter(|(_, hit)| *hit).count() as u64;
+        for (p, (v, _)) in fresh.into_iter().zip(lookups) {
             if v.is_none() {
                 self.pruned += 1;
             }
@@ -785,21 +784,15 @@ pub fn registered_count() -> usize {
     registry().lock().unwrap().len()
 }
 
-/// Everything a tuning outcome depends on, folded bit-exactly — the same
-/// discipline as the plan memo's `PlanKey`. `workers` is excluded on
-/// purpose: worker count must never change the answer.
+/// Everything a tuning outcome depends on, the device and fabric folded
+/// whole through their keys. `workers` is excluded on purpose: worker count
+/// must never change the answer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TuneKey {
     fp: (u64, u64),
-    dev_name: String,
-    dram: u64,
-    gflops_bits: u64,
-    mem_bw_bits: u64,
-    h2d_bits: u64,
-    d2h_bits: u64,
+    spec: SpecKey,
     replicas: usize,
-    ic_gbps_bits: u64,
-    ic_latency_ns: u64,
+    interconnect: InterconnectKey,
     precision: sn_graph::Precision,
     seed: u64,
     samples: usize,
@@ -811,15 +804,9 @@ impl TuneKey {
     fn new(net: &Net, spec: &DeviceSpec, cfg: &TuneConfig) -> TuneKey {
         TuneKey {
             fp: net.fingerprint(),
-            dev_name: spec.name.clone(),
-            dram: spec.dram_bytes,
-            gflops_bits: spec.peak_gflops.to_bits(),
-            mem_bw_bits: spec.mem_bw_gbps.to_bits(),
-            h2d_bits: spec.pcie_h2d_gbps.to_bits(),
-            d2h_bits: spec.pcie_d2h_gbps.to_bits(),
+            spec: spec.key(),
             replicas: cfg.replicas,
-            ic_gbps_bits: cfg.interconnect.gbps.to_bits(),
-            ic_latency_ns: cfg.interconnect.latency.0,
+            interconnect: cfg.interconnect.key(),
             precision: cfg.precision,
             seed: cfg.seed,
             samples: cfg.samples,
@@ -829,9 +816,9 @@ impl TuneKey {
     }
 }
 
-type TuneMemo = FxHashMap<TuneKey, Result<TunedId, ExecError>>;
-
-static TUNE_MEMO: OnceLock<Mutex<TuneMemo>> = OnceLock::new();
+/// Capped at 512 outcomes. A reset only costs re-searching: the registry
+/// keeps every [`TunedId`] handed out valid.
+static TUNE_MEMO: Memo<TuneKey, Result<TunedId, ExecError>> = Memo::new(512);
 
 /// [`search`] through the tune memo: a repeated request for the same
 /// `(net, device, replicas, precision, seed, budgets)` tuple returns the
@@ -842,24 +829,10 @@ pub fn tune_memo(
     spec: &DeviceSpec,
     cfg: &TuneConfig,
 ) -> Result<(TunedId, Arc<TunedPolicy>), ExecError> {
-    let key = TuneKey::new(net, spec, cfg);
-    let memo = TUNE_MEMO.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
-        return hit
-            .clone()
-            .map(|id| (id, get(id).expect("registered id outlives the memo")));
-    }
-    let result = search(net, spec, cfg).map(|o| register(o.tuned));
-    memo.lock().unwrap().insert(key, result.clone());
-    result.map(|id| (id, get(id).expect("freshly registered")))
-}
-
-/// Drop every memoized tuning outcome (the registry is append-only and
-/// survives — outstanding [`TunedId`]s stay valid). Bench support.
-pub fn clear_tune_memo() {
-    if let Some(m) = TUNE_MEMO.get() {
-        m.lock().unwrap().clear();
-    }
+    let (result, _) = TUNE_MEMO.get_or_insert_with(TuneKey::new(net, spec, cfg), || {
+        search(net, spec, cfg).map(|o| register(o.tuned))
+    });
+    result.map(|id| (id, get(id).expect("registered ids are never removed")))
 }
 
 #[cfg(test)]
@@ -935,6 +908,20 @@ mod tests {
         // new bundle, but must not alias the memo entry).
         let (id3, _) = tune_memo(&net, &spec, &cfg.with_seed(43)).unwrap();
         assert!(get(id3).is_some());
+    }
+
+    #[test]
+    fn memo_keys_on_every_device_field() {
+        let net = tower(8, 2, 8);
+        let spec = DeviceSpec::k40c();
+        let slow_launch = DeviceSpec {
+            kernel_launch: spec.kernel_launch + SimTime::from_us(1),
+            ..spec.clone()
+        };
+        let cfg = quick_cfg().with_seed(44);
+        let (a, _) = tune_memo(&net, &spec, &cfg).unwrap();
+        let (b, _) = tune_memo(&net, &slow_launch, &cfg).unwrap();
+        assert_ne!(a, b, "devices differing in kernel launch share a result");
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub use engine::{
 };
 pub use group::{group_collective, group_now, group_sync, DeviceGroup, GroupEngine};
 pub use sn_telemetry::{SpanId, TraceSink};
-pub use spec::DeviceSpec;
+pub use spec::{DeviceSpec, SpecKey};
 pub use time::SimTime;
 pub use trace::{StepRecord, StepTrace};

@@ -116,6 +116,47 @@ impl DeviceSpec {
     pub fn free_cost(&self) -> SimTime {
         self.free_base
     }
+
+    /// This spec as a memo key: every field, floats folded bit-exactly.
+    pub fn key(&self) -> SpecKey {
+        // Destructured so a field added to the spec cannot be left out.
+        let DeviceSpec {
+            name,
+            dram_bytes,
+            peak_gflops,
+            mem_bw_gbps,
+            pcie_h2d_gbps,
+            pcie_d2h_gbps,
+            unpinned_factor,
+            malloc_base,
+            malloc_per_mib,
+            free_base,
+            kernel_launch,
+        } = self;
+        SpecKey {
+            name: name.clone(),
+            dram_bytes: *dram_bytes,
+            rate_bits: [
+                peak_gflops.to_bits(),
+                mem_bw_gbps.to_bits(),
+                pcie_h2d_gbps.to_bits(),
+                pcie_d2h_gbps.to_bits(),
+                unpinned_factor.to_bits(),
+            ],
+            costs: [*malloc_base, *malloc_per_mib, *free_base, *kernel_launch],
+        }
+    }
+}
+
+/// A [`DeviceSpec`] folded into a hashable value ([`DeviceSpec::key`]).
+/// Every cache whose answer depends on the device keys on this, so two
+/// specs share an entry only when all their fields are identical.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SpecKey {
+    name: String,
+    dram_bytes: u64,
+    rate_bits: [u64; 5],
+    costs: [SimTime; 4],
 }
 
 #[cfg(test)]
@@ -141,6 +182,30 @@ mod tests {
         let d = DeviceSpec::k40c();
         assert_eq!(d.pcie_gbps(true, true), 8.0);
         assert_eq!(d.pcie_gbps(true, false), 4.0);
+    }
+
+    #[test]
+    fn spec_keys_separate_specs_differing_in_one_field() {
+        let base = DeviceSpec::k40c();
+        assert_eq!(base.key(), DeviceSpec::k40c().key());
+        let variants = [
+            base.clone().with_dram(GB),
+            DeviceSpec {
+                unpinned_factor: 0.25,
+                ..base.clone()
+            },
+            DeviceSpec {
+                malloc_per_mib: SimTime::from_us(2),
+                ..base.clone()
+            },
+            DeviceSpec {
+                kernel_launch: SimTime::from_us(6),
+                ..base.clone()
+            },
+        ];
+        for v in &variants {
+            assert_ne!(v.key(), base.key(), "{v:?}");
+        }
     }
 
     #[test]

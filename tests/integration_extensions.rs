@@ -1,9 +1,10 @@
 //! Integration tests for the extension subsystems: the Fig.-7 UTP tiers,
-//! alternative cache replacement policies, and data-parallel sessions —
-//! each composed with the full runtime stack.
+//! alternative cache replacement policies, and data-parallel gangs — each
+//! composed with the full runtime stack.
 
-use superneurons::runtime::parallel::{DataParallel, Interconnect};
-use superneurons::runtime::{CachePolicy, Executor, Policy, TierConfig};
+use superneurons::runtime::{
+    CachePolicy, Executor, GroupConfig, GroupExecutor, Interconnect, Policy, TierConfig,
+};
 use superneurons::DeviceSpec;
 
 /// Constraining the local host tier makes offload spill to the other Fig.-7
@@ -83,27 +84,25 @@ fn cache_policies_complete_under_pressure() {
 /// is unchanged.
 #[test]
 fn data_parallel_scales_and_preserves_replica_memory() {
-    let mk = |gpus, overlap| DataParallel {
-        net_builder: Box::new(superneurons::models::resnet50),
-        per_gpu_batch: 16,
-        gpus,
-        spec: DeviceSpec::titan_xp(),
-        policy: Policy::superneurons(),
-        interconnect: Interconnect::pcie(),
-        overlap,
+    let per_gpu_batch = 16;
+    let net = superneurons::models::resnet50(per_gpu_batch);
+    let run = |gpus, overlap| {
+        let cfg = GroupConfig::new(gpus, Interconnect::pcie());
+        let cfg = if overlap { cfg } else { cfg.serialized() };
+        let mut gang =
+            GroupExecutor::new(&net, DeviceSpec::titan_xp(), Policy::superneurons(), cfg).unwrap();
+        gang.run_iteration().unwrap(); // warm-up
+        gang.run_iteration().unwrap()
     };
-    let r1 = mk(1, false).run().unwrap();
-    let r8 = mk(8, false).run().unwrap();
-    let r8o = mk(8, true).run().unwrap();
-    assert!(
-        r8.imgs_per_sec > 4.0 * r1.imgs_per_sec,
-        "8 GPUs must beat 4x one GPU"
-    );
-    assert!(r8.efficiency < 1.0);
-    assert!(r8o.efficiency >= r8.efficiency);
+    let (r1, r8, r8o) = (run(1, false), run(8, false), run(8, true));
+    let rate = |r: &superneurons::runtime::GroupIterationReport| r.imgs_per_sec(per_gpu_batch);
+    let efficiency = |r| rate(r) / (r8.replicas as f64 * rate(&r1));
+    assert!(rate(&r8) > 4.0 * rate(&r1), "8 GPUs must beat 4x one GPU");
+    assert!(efficiency(&r8) < 1.0);
+    assert!(efficiency(&r8o) >= efficiency(&r8));
     assert_eq!(
-        r1.peak_bytes, r8.peak_bytes,
+        r1.replica.peak_bytes, r8.replica.peak_bytes,
         "replica memory is independent of scale"
     );
-    assert_eq!(r8.global_batch, 128);
+    assert_eq!(per_gpu_batch * r8.replicas, 128);
 }
